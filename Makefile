@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build fmt vet lint lint-fixtures test test-simdebug test-golden test-faults test-obs test-array race fuzz-smoke bench bench-perf bench-micro check
+.PHONY: build fmt vet lint lint-fixtures test test-simdebug test-golden test-faults test-obs test-array race fuzz-smoke bench bench-perf bench-micro loc check
 
 build:
 	$(GO) build ./...
@@ -92,6 +92,15 @@ bench-micro:
 	$(GO) test -run='^$$' -bench=BenchmarkPoolSubmit -benchtime=100x -benchmem ./internal/serving/
 	$(GO) test -run='^$$' -bench=BenchmarkLookupPoolHotTrace -benchtime=100x -benchmem ./internal/engine/
 	$(GO) test -run='^$$' -bench=BenchmarkEVCacheHit -benchtime=100x -benchmem ./internal/evcache/
+
+# Production Go line count: non-test .go files outside _perfbench/ and any
+# testdata/ directory (lint fixtures). Track it when a change claims to
+# shrink the code.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' \
+		-not -path './.git/*' -not -path './.bench_build/*' \
+		-not -path './_perfbench/*' -not -path '*/testdata/*' \
+		-exec cat {} + | wc -l
 
 check: build fmt vet lint test test-simdebug test-faults test-obs test-array race
 	@echo "all checks passed"

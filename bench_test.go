@@ -171,12 +171,12 @@ func BenchmarkLookupEnginePool(b *testing.B) {
 	env := baseline.MustNewEnv(cfg, rmssd.DefaultGeometry())
 	eng := engine.NewLookupEngine(env.Store, env.Dev)
 	gen := trace.MustNew(trace.Config{Tables: cfg.Tables, Rows: cfg.RowsPerTable, Lookups: cfg.Lookups, Seed: 1})
-	sparse := gen.Inference()
+	batch := [][][]int64{gen.Inference()}
 	b.ResetTimer()
 	var at sim.Time
 	for i := 0; i < b.N; i++ {
 		var err error
-		at, err = eng.PoolTiming(at, sparse)
+		at, err = eng.PoolBatchTiming(at, batch)
 		if err != nil {
 			b.Fatal(err)
 		}

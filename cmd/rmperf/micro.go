@@ -112,7 +112,7 @@ func runMicro() MicroReport {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := dev.Lookup().Pool(0, batches[i%len(batches)]); err != nil {
+			if _, _, err := dev.Lookup().PoolBatch(0, batches[i%len(batches):][:1]); err != nil {
 				b.Fatal(err)
 			}
 		}

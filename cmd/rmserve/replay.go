@@ -164,7 +164,7 @@ func formatReplayResult(sb *strings.Builder, res serving.ReplayResult) {
 }
 
 // formatLocality appends the model's dedup/EV-cache counters when its
-// locality path is on; the default configuration prints nothing, keeping
+// cache or dedup is on; the default configuration prints nothing, keeping
 // classic replay reports byte-identical.
 func formatLocality(sb *strings.Builder, m *hostedModel) {
 	lk, ev, cached := m.localityStats()

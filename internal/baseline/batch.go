@@ -102,15 +102,13 @@ func (s *EmbPageSum) InferBatchTiming(at sim.Time, sparses [][][]int64) (sim.Tim
 func (s *EmbVectorSum) InferBatchTiming(at sim.Time, sparses [][][]int64) (sim.Time, Breakdown) {
 	b := len(sparses)
 	cfg := s.env.M.Cfg
-	devDone := at
 	for _, sparse := range sparses {
 		checkSparse(s.env.M, sparse)
-		poolDone, err := s.lookup.PoolTiming(at, sparse)
-		if err != nil {
-			// In-range generator inputs on an unfaulted device cannot error.
-			panic(fmt.Sprintf("baseline: %v", err))
-		}
-		devDone = sim.Max(devDone, poolDone)
+	}
+	devDone, err := s.lookup.PoolBatchTiming(at, sparses)
+	if err != nil {
+		// In-range generator inputs on an unfaulted device cannot error.
+		panic(fmt.Sprintf("baseline: %v", err))
 	}
 	bd := hostBatchBreakdown(s.env.M, b)
 	bd.EmbSSD = time.Duration(devDone - at)

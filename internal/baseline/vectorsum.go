@@ -50,19 +50,19 @@ func (s *EmbVectorSum) finish(at, poolDone sim.Time) (sim.Time, Breakdown) {
 // Infer implements System.
 func (s *EmbVectorSum) Infer(at sim.Time, dense tensor.Vector, sparse [][]int64) (float32, sim.Time, Breakdown) {
 	checkSparse(s.env.M, sparse)
-	pooled, poolDone, err := s.lookup.Pool(at, sparse)
+	pooled, poolDone, err := s.lookup.PoolBatch(at, [][][]int64{sparse})
 	if err != nil {
 		// In-range generator inputs on an unfaulted device cannot error.
 		panic(fmt.Sprintf("baseline: %v", err))
 	}
 	done, bd := s.finish(at, poolDone)
-	return hostForward(s.env.M, dense, pooled), done, bd
+	return hostForward(s.env.M, dense, pooled[0]), done, bd
 }
 
 // InferTiming implements System.
 func (s *EmbVectorSum) InferTiming(at sim.Time, sparse [][]int64) (sim.Time, Breakdown) {
 	checkSparse(s.env.M, sparse)
-	poolDone, err := s.lookup.PoolTiming(at, sparse)
+	poolDone, err := s.lookup.PoolBatchTiming(at, [][][]int64{sparse})
 	if err != nil {
 		panic(fmt.Sprintf("baseline: %v", err))
 	}

@@ -50,15 +50,15 @@ type Options struct {
 	// construction (use reduced table sizes), and the device can take
 	// concurrent update writes during inference.
 	Dynamic bool
-	// Parallel is the number of host goroutines used to simulate the
-	// flash channels of one lookup batch. 0 means GOMAXPROCS; 1 forces
-	// the exact sequential path. Lane partitioning keeps results
-	// byte-identical at any setting (see engine/parallel.go).
+	// Parallel is the number of host goroutines that run the flash
+	// channel lanes of one lookup batch. 0 means GOMAXPROCS; 1 runs the
+	// lanes inline on the calling goroutine. Lane partitioning keeps
+	// results byte-identical at any setting (see engine/pool.go).
 	Parallel int
 	// EVCacheBytes budgets a device-DRAM embedding-vector cache (0, the
 	// default, disables it): hot vectors are served from controller DRAM
 	// in ~EVCacheHitCycles instead of a C_EV flash read. Predictions are
-	// byte-identical with the cache on or off (engine/locality.go).
+	// byte-identical with the cache on or off (engine/pool.go).
 	EVCacheBytes int64
 	// DedupLookups merges identical (table,row) lookups within one device
 	// batch into a single vector read whose result fans out. Off by
@@ -319,57 +319,19 @@ func (r *RMSSD) InferBatch(at sim.Time, denses []tensor.Vector, sparses [][][]in
 	if err := r.ValidateInputs(denses, sparses); err != nil {
 		return nil, at, Breakdown{}, err
 	}
-	n := len(sparses)
-	var probe spanProbe
-	if r.spanSink != nil {
-		probe = r.probeSpan()
+	var pooled [][]tensor.Vector
+	done, bd, err := r.runBatch(at, len(sparses), func(embStart sim.Time) (lookDone sim.Time, err error) {
+		pooled, lookDone, err = r.lookup.PoolBatch(embStart, sparses)
+		return lookDone, err
+	})
+	if err != nil {
+		return nil, done, bd, err
 	}
-	var bd Breakdown
-	sendDone := r.SendInputs(at, n)
-	bd.Send = sendDone - at
-
-	// Extended embedding stage: flash pooling for the whole batch plus
-	// the Le kernel, overlapped with the extended bottom MLP.
-	outs := make([]float32, n)
-	embStart := sendDone
-	// PoolBatch shares one dedup table across the whole device batch when
-	// the locality path is enabled; otherwise it is exactly the
-	// per-inference Pool loop.
-	pooled, lookDone, lookErr := r.lookup.PoolBatch(embStart, sparses)
-	embDone := sim.Max(embStart, lookDone)
-	if k := params.Duration(r.mlp.EmbKernelCycles(n)); embStart+k > embDone {
-		embDone = embStart + k
-	}
-	bd.Emb = embDone - embStart
-	if lookErr != nil {
-		if r.spanSink != nil {
-			r.emitSpan(probe, failedSpan(at, sendDone, embDone, n))
-		}
-		return nil, embDone, bd, fmt.Errorf("core: infer batch: %w", lookErr)
-	}
-
-	bd.Bot = params.Duration(r.mlp.BottomStageCycles(n))
-	joined := sim.Max(embDone, embStart+bd.Bot)
-	if r.mlp.Design() == engine.DesignNaive {
-		// No intra-layer decomposition: the whole MLP runs after the
-		// embedding results arrive.
-		joined = embDone + bd.Bot
-	}
-
-	bd.Top = params.Duration(r.mlp.TopStageCycles(n))
-	topDone := joined + bd.Top
-
-	for i := 0; i < n; i++ {
+	outs := make([]float32, len(sparses))
+	for i := range outs {
 		outs[i] = r.mlp.Forward(denses[i], pooled[i])
 	}
-
-	readDone := r.ReadOutputs(topDone, n)
-	bd.Read = readDone - topDone
-	r.inferences += int64(n)
-	if r.spanSink != nil {
-		r.emitSpan(probe, r.servedSpan(at, sendDone, embDone, joined, topDone, readDone, bd.Bot, n))
-	}
-	return outs, readDone, bd, nil
+	return outs, done, bd, nil
 }
 
 // InferBatchTiming is InferBatch without materialising values.
@@ -377,7 +339,18 @@ func (r *RMSSD) InferBatchTiming(at sim.Time, sparses [][][]int64) (sim.Time, Br
 	if err := r.lookup.ValidateLookups(sparses); err != nil {
 		return at, Breakdown{}, err
 	}
-	n := len(sparses)
+	return r.runBatch(at, len(sparses), func(embStart sim.Time) (sim.Time, error) {
+		return r.lookup.PoolBatchTiming(embStart, sparses)
+	})
+}
+
+// runBatch composes one validated device batch of n inferences on the
+// simulated timeline: send inputs; the extended embedding stage (lookup,
+// started at embStart, plus the Le kernel) overlapped with the extended
+// bottom MLP; the top MLP after their join; the output read. A failed
+// lookup ends the batch after the embedding stage. It emits the batch's
+// span when a sink is installed.
+func (r *RMSSD) runBatch(at sim.Time, n int, lookup func(embStart sim.Time) (sim.Time, error)) (sim.Time, Breakdown, error) {
 	var probe spanProbe
 	if r.spanSink != nil {
 		probe = r.probeSpan()
@@ -385,8 +358,9 @@ func (r *RMSSD) InferBatchTiming(at sim.Time, sparses [][][]int64) (sim.Time, Br
 	var bd Breakdown
 	sendDone := r.SendInputs(at, n)
 	bd.Send = sendDone - at
+
 	embStart := sendDone
-	lookDone, lookErr := r.lookup.PoolBatchTiming(embStart, sparses)
+	lookDone, lookErr := lookup(embStart)
 	embDone := sim.Max(embStart, lookDone)
 	if k := params.Duration(r.mlp.EmbKernelCycles(n)); embStart+k > embDone {
 		embDone = embStart + k
@@ -398,9 +372,12 @@ func (r *RMSSD) InferBatchTiming(at sim.Time, sparses [][][]int64) (sim.Time, Br
 		}
 		return embDone, bd, fmt.Errorf("core: infer batch: %w", lookErr)
 	}
+
 	bd.Bot = params.Duration(r.mlp.BottomStageCycles(n))
 	joined := sim.Max(embDone, embStart+bd.Bot)
 	if r.mlp.Design() == engine.DesignNaive {
+		// No intra-layer decomposition: the whole MLP runs after the
+		// embedding results arrive.
 		joined = embDone + bd.Bot
 	}
 	bd.Top = params.Duration(r.mlp.TopStageCycles(n))

@@ -399,3 +399,52 @@ func TestEraseBlock(t *testing.T) {
 		t.Fatal("read did not queue behind erase")
 	}
 }
+
+// TestLaneReopen checks a re-armed lane behaves as a fresh one: it keeps
+// scheduling on the channel's resources from where the last phase left
+// them, counts only the new phase's traffic and folds it in on Close.
+// Reopening a lane that is still open is a programmer error.
+func TestLaneReopen(t *testing.T) {
+	const evSize = 128
+	a := mustArray(t, smallGeometry())
+	b := mustArray(t, smallGeometry())
+	reused := a.Lane(1)
+	for phase := 0; phase < 3; phase++ {
+		if phase > 0 {
+			reused.Reopen()
+		}
+		fresh := b.Lane(1)
+		at := sim.Time(phase) * 1000
+		p := PPA{Channel: 1, Die: phase % 2, Page: phase}
+		if _, err := reused.ReadVectorTiming(at, p, 0, evSize); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.ReadVectorTiming(at, p, 0, evSize); err != nil {
+			t.Fatal(err)
+		}
+		_, da, errA := reused.ReadVector(at, p, evSize, evSize)
+		_, db, errB := fresh.ReadVector(at, p, evSize, evSize)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if da != db {
+			t.Fatalf("phase %d: reopened lane done %v, fresh lane %v", phase, da, db)
+		}
+		if reused.Stats() != fresh.Stats() || reused.Stats().VectorReads != 2 {
+			t.Fatalf("phase %d: lane stats %+v, fresh %+v", phase, reused.Stats(), fresh.Stats())
+		}
+		reused.Close()
+		fresh.Close()
+	}
+	if a.Stats() != b.Stats() || a.ChannelIO()[1] != b.ChannelIO()[1] {
+		t.Fatalf("array stats %+v, want %+v", a.Stats(), b.Stats())
+	}
+
+	reused.Reopen()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reopen of an open lane did not panic")
+		}
+	}()
+	reused.Reopen()
+}

@@ -44,11 +44,28 @@ func (a *Array) Lane(ch int) *Lane {
 		panic(fmt.Sprintf("flash: lane channel %d of %d", ch, a.geo.Channels))
 	}
 	l := &Lane{a: a, ch: ch, scope: sim.NewLaneScope(ch + 1)}
-	l.scope.Bind(a.buses[ch])
-	for d := 0; d < a.geo.DiesPerChannel; d++ {
-		l.scope.Bind(a.dies[ch].Get(d))
-	}
+	l.bind()
 	return l
+}
+
+// Reopen re-arms a closed lane for another read phase: it claims the
+// channel's bus and dies again and starts fresh lane-local counters, exactly
+// as a new Array.Lane(ch) would, so a caller can keep one lane per channel
+// across batches instead of allocating them each time.
+func (l *Lane) Reopen() {
+	if !l.closed {
+		panic(fmt.Sprintf("flash: reopen of open lane for channel %d", l.ch))
+	}
+	*l = Lane{a: l.a, ch: l.ch, scope: l.scope}
+	l.bind()
+}
+
+// bind claims the lane's bus and dies.
+func (l *Lane) bind() {
+	l.scope.Bind(l.a.buses[l.ch])
+	for d := 0; d < l.a.geo.DiesPerChannel; d++ {
+		l.scope.Bind(l.a.dies[l.ch].Get(d))
+	}
 }
 
 // Channel returns the channel this lane owns.

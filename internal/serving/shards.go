@@ -382,8 +382,9 @@ func (s *shard) serve(batch []submission, total int) {
 	s.reqScratch = reqs[:0]
 	s.batches.Add(1)
 	s.reqs.Add(int64(len(batch)))
+	// Every counter is updated before the reply that it covers is sent, so a
+	// caller that has its response also sees it in Stats.
 	off := 0
-	servedInf := 0
 	for i, sub := range batch {
 		n := sub.req.Count()
 		r := Response{
@@ -404,14 +405,14 @@ func (s *shard) serve(batch []submission, total int) {
 			s.failed.Add(1)
 		case res.Preds == nil:
 			// Timing-only backend: no predictions to slice.
-			servedInf += n
+			s.served.Add(int64(n))
 		case off+n <= len(res.Preds):
 			// Copy: res.Preds is shared by every request on this batch
 			// (and possibly reused by the backend); an aliased window
 			// would let one requester's writes corrupt another's reads.
 			r.Preds = append([]float32(nil), res.Preds[off:off+n]...)
 			off += n
-			servedInf += n
+			s.served.Add(int64(n))
 		default:
 			r.Err = fmt.Errorf(
 				"serving: shard %d returned %d predictions for a batch of %d; request window [%d,%d) unservable",
@@ -420,5 +421,4 @@ func (s *shard) serve(batch []submission, total int) {
 		}
 		sub.reply <- r
 	}
-	s.served.Add(int64(servedInf))
 }

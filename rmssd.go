@@ -11,8 +11,9 @@
 //     hosts the Embedding Lookup Engine (vector-grained in-storage reads
 //     and pooling) and the MLP Acceleration Engine (intra-layer
 //     decomposition, inter-layer composition, kernel search);
-//   - every baseline the paper compares against (DRAM, SSD-S/M, EMB-MMIO,
-//     EMB-PageSum, EMB-VectorSum, RecSSD);
+//   - the baselines the paper compares against (DRAM, SSD-S/M, EMB-MMIO,
+//     EMB-PageSum, EMB-VectorSum, RecSSD), all run by the experiment
+//     harness;
 //   - synthetic trace generation with the paper's locality presets;
 //   - the experiment harness regenerating every table and figure of the
 //     paper's evaluation.
@@ -48,7 +49,6 @@ import (
 	"rmssd/internal/evcache"
 	"rmssd/internal/flash"
 	"rmssd/internal/model"
-	"rmssd/internal/obs"
 	"rmssd/internal/params"
 	"rmssd/internal/serving"
 	"rmssd/internal/tensor"
@@ -86,9 +86,6 @@ var (
 	BuildModel = model.Build
 )
 
-// TableIIIBudget is the paper's 30 GB embedding-table budget per model.
-const TableIIIBudget = model.TableIIIBudget
-
 // --- the RM-SSD device ---
 
 // Device is the full RM-SSD: simulated flash plus both in-storage engines
@@ -124,7 +121,6 @@ type Design = engine.Design
 // MLP engine mapping variants (Table VI's rows).
 const (
 	DesignSearched = engine.DesignSearched
-	DesignDefault  = engine.DesignDefault
 	DesignNaive    = engine.DesignNaive
 )
 
@@ -154,11 +150,9 @@ func NewNaiveDevice(cfg ModelConfig, opts DeviceOptions) (*Device, error) {
 // bytes, intra-batch dedup hits); snapshot via Device.Lookup().Stats().
 type LookupStats = engine.LookupStats
 
-// EVCache is the device-DRAM hot-vector cache installed by
-// DeviceOptions.EVCacheBytes; reach it via Device.Lookup().EVCache().
-type EVCache = evcache.Cache
-
-// EVCacheStats counts EV cache hits, misses and evictions.
+// EVCacheStats counts the hits, misses and evictions of the device-DRAM
+// hot-vector cache installed by DeviceOptions.EVCacheBytes (reach it via
+// Device.Lookup().EVCache()).
 type EVCacheStats = evcache.Stats
 
 // Session is the paper's host runtime interface: fd-based table access
@@ -190,17 +184,8 @@ var (
 // build with DeviceOptions{ArrayDevices: N, Partition: "range"|"hash"}.
 type Array = array.Array
 
-// ArrayPartition is a partition spec (strategy + device count + optional
-// explicit range bounds), ArrayLayout its validated resolution against a
-// model's row space, and ArrayStats the scatter/gather counter snapshot.
-type (
-	ArrayPartition = array.Partition
-	ArrayLayout    = array.Layout
-	ArrayStats     = array.Stats
-)
-
-// ArrayStrategy names a partitioning scheme.
-type ArrayStrategy = array.Strategy
+// ArrayStats is an array's scatter/gather counter snapshot.
+type ArrayStats = array.Stats
 
 // Partition strategies: contiguous row blocks per device, or modular row
 // striping.
@@ -219,13 +204,6 @@ func NewArray(cfg ModelConfig, opts DeviceOptions) (*Array, error) {
 	return array.New(cfg, opts)
 }
 
-// MustNewArray is NewArray, panicking on error.
-var MustNewArray = array.MustNew
-
-// ArrayTransferCost prices one member->top gather hop of the given byte
-// count on the modeled inter-device link.
-var ArrayTransferCost = array.TransferCost
-
 // --- baselines ---
 
 // System is a complete recommendation-inference deployment (a baseline).
@@ -238,15 +216,12 @@ type Env = baseline.Env
 // NewEnv lays a model's tables out on a fresh simulated device.
 func NewEnv(cfg ModelConfig, geo Geometry) (*Env, error) { return baseline.NewEnv(cfg, geo) }
 
-// Baseline constructors (see the paper's evaluation for definitions).
+// Baseline constructors (see the paper's evaluation for definitions); the
+// experiment harness builds every other baseline it compares.
 var (
-	NewDRAM         = baseline.NewDRAM
-	NewSSDS         = baseline.NewSSDS
-	NewSSDM         = baseline.NewSSDM
-	NewEmbMMIO      = baseline.NewEmbMMIO
-	NewEmbPageSum   = baseline.NewEmbPageSum
-	NewEmbVectorSum = baseline.NewEmbVectorSum
-	NewRecSSD       = baseline.NewRecSSD
+	NewDRAM   = baseline.NewDRAM
+	NewSSDS   = baseline.NewSSDS
+	NewRecSSD = baseline.NewRecSSD
 )
 
 // --- traces ---
@@ -266,145 +241,26 @@ var MustNewTrace = trace.MustNew
 // AnalyzeTrace computes Fig. 4-style access statistics.
 var AnalyzeTrace = trace.Analyze
 
-// CriteoRecord is one parsed example of the Kaggle Criteo TSV format.
-type CriteoRecord = trace.CriteoRecord
-
 // CriteoParser streams records from a Criteo-format TSV reader.
 type CriteoParser = trace.CriteoParser
 
-// Criteo ingestion helpers: parse the dataset's native TSV, synthesise a
-// deterministic stand-in stream, and adapt records to a model's shape.
+// Criteo ingestion helpers: parse the dataset's native TSV and synthesise
+// a deterministic stand-in stream.
 var (
 	NewCriteoParser     = trace.NewCriteoParser
-	ParseCriteoLine     = trace.ParseCriteoLine
 	SynthesizeCriteoTSV = trace.SynthesizeCriteoTSV
-	RecordsToInference  = trace.RecordsToInference
 )
 
 // --- serving ---
 
-// ServingRequest is one client submission to a serving pool: either
-// count-only (server-synthesised inputs) or carrying explicit dense +
-// sparse payloads — the RM_send_inputs shape of Section VI.
-type ServingRequest = serving.Request
+// RequestSource is a trace-replay request stream.
+type RequestSource = serving.RequestSource
 
-// ServingResponse is what one submitted request gets back; Preds is an
-// owned copy of this request's window of the coalesced batch result.
-type ServingResponse = serving.Response
-
-// ServingPool is the sharded batching front-end: N independent devices,
-// each with its own virtual clock, behind round-robin dispatch with
-// consecutive-small-batch coalescing.
-type ServingPool = serving.Pool
-
-// ServingBatcher is one shard's backend.
-type ServingBatcher = serving.Batcher
-
-// ServingBatchResult is the outcome of one coalesced device batch.
-type ServingBatchResult = serving.BatchResult
-
-// ServingStats is an aggregate snapshot of a pool's counters, including
-// recovered backend faults and error-answered requests.
-type ServingStats = serving.Stats
-
-// ShardFaultError reports a serving backend that panicked under a shard
-// worker; the worker recovered, failed that batch's requests with this
-// error and kept serving. Match with errors.As.
-type ShardFaultError = serving.ShardFaultError
-
-// ErrPoolClosed is returned by pool submissions after Close.
-var ErrPoolClosed = serving.ErrPoolClosed
-
-// NewServingPool builds a pool over independent device backends.
-var NewServingPool = serving.NewPool
-
-// Trace replay: drive the shards open-loop from an external request stream
-// on a deterministic virtual arrival timeline.
-type (
-	ReplayConfig  = serving.ReplayConfig
-	ReplayResult  = serving.ReplayResult
-	RequestSource = serving.RequestSource
-)
-
-// Replay and its request sources (synthetic generator, Criteo TSV).
+// Replay request sources: the synthetic generator and a Criteo TSV stream.
 var (
-	Replay             = serving.Replay
 	NewGeneratorSource = serving.NewGeneratorSource
 	NewCriteoSource    = serving.NewCriteoSource
 )
-
-// --- multi-model serving ---
-
-// ModelRegistry owns one named serving pool per hosted model; ModelSpec
-// declares a model's backends, batching limits and admission weight, and
-// ModelStats is a live per-model counter snapshot.
-type (
-	ModelRegistry = serving.Registry
-	ModelSpec     = serving.ModelSpec
-	ModelStats    = serving.ModelStats
-)
-
-// ModelRouter dispatches requests by model name with optional shared-host
-// admission control (weighted round robin over a bounded in-flight budget).
-type ModelRouter = serving.Router
-
-// Multi-model registry/router constructors and sentinel errors.
-var (
-	NewModelRegistry  = serving.NewRegistry
-	NewModelRouter    = serving.NewRouter
-	ErrUnknownModel   = serving.ErrUnknownModel
-	ErrRegistryClosed = serving.ErrRegistryClosed
-)
-
-// Mixed-model trace replay: a tagged request stream partitioned by model,
-// each model replaying its subsequence on its own seeded virtual timeline.
-type (
-	TaggedRequest     = serving.TaggedRequest
-	TaggedSource      = serving.TaggedSource
-	TaggedPart        = serving.TaggedPart
-	ReplayModel       = serving.ReplayModel
-	MultiReplayConfig = serving.MultiReplayConfig
-	MultiReplayResult = serving.MultiReplayResult
-)
-
-// MultiReplay helpers: the replay itself, the deterministic weighted
-// interleave of per-model sources, and the per-model seed derivation that
-// makes mixed-replay results reproducible one model at a time.
-var (
-	MultiReplay          = serving.MultiReplay
-	NewInterleavedSource = serving.NewInterleavedSource
-	ModelReplaySeed      = serving.ModelReplaySeed
-)
-
-// --- observability ---
-
-// Sim-time observability: deterministic stage tracing and metrics. A
-// Tracer collects per-batch records (queue wait, device stage spans,
-// counter deltas) on the simulated timeline and feeds an optional
-// Registry of fixed-bucket histograms and counters; both render
-// byte-identically regardless of host scheduling. Install on a device
-// via Device.SetSpanSink (a nil sink — the default — costs one pointer
-// check per batch) and thread into replays via ReplayConfig.Tracer.
-type (
-	ObsRegistry  = obs.Registry
-	ObsTracer    = obs.Tracer
-	DeviceSpan   = obs.DeviceSpan
-	MemberSpan   = obs.MemberSpan
-	SpanSink     = obs.SpanSink
-	StageSpan    = obs.StageSpan
-	TraceRequest = obs.TraceRequest
-	BatchRecord  = obs.BatchRecord
-)
-
-// Observability constructors and the pinned trace schema version.
-var (
-	NewObsRegistry = obs.NewRegistry
-	NewObsTracer   = obs.NewTracer
-)
-
-// ObsTraceSchemaVersion identifies the BatchRecord JSONL schema; it is
-// part of the conformance surface (the replay/trace golden pins it).
-const ObsTraceSchemaVersion = obs.TraceSchemaVersion
 
 // --- experiments ---
 
@@ -413,9 +269,6 @@ type Experiment = bench.Experiment
 
 // ExperimentOptions tunes experiment scale.
 type ExperimentOptions = bench.Options
-
-// ResultTable is a rendered experiment result.
-type ResultTable = bench.Table
 
 // Experiments lists every reproducible table and figure in paper order.
 var Experiments = bench.Experiments
