@@ -84,14 +84,17 @@ bench:
 bench-perf:
 	$(GO) run ./cmd/rmperf
 
-# Allocation micro-benchmarks for the serving/lookup/cache hot paths.
-# -benchtime=100x keeps it a smoke run: fixed iteration count, so it is
-# fast and deterministic enough for CI while still exercising
-# b.ReportAllocs on every hot path.
+# Allocation micro-benchmarks for the serving/lookup/cache hot paths and
+# the two host kernels every inference runs: embedding-content synthesis
+# (EVBytesInto) and the MLP's MatVec. -benchtime=100x keeps it a smoke run:
+# fixed iteration count, so it is fast and deterministic enough for CI
+# while still exercising b.ReportAllocs on every hot path.
 bench-micro:
 	$(GO) test -run='^$$' -bench=BenchmarkPoolSubmit -benchtime=100x -benchmem ./internal/serving/
 	$(GO) test -run='^$$' -bench=BenchmarkLookupPoolHotTrace -benchtime=100x -benchmem ./internal/engine/
 	$(GO) test -run='^$$' -bench=BenchmarkEVCacheHit -benchtime=100x -benchmem ./internal/evcache/
+	$(GO) test -run='^$$' -bench=BenchmarkEVBytesInto -benchtime=100x -benchmem ./internal/model/
+	$(GO) test -run='^$$' -bench=BenchmarkMatVec -benchtime=100x -benchmem ./internal/tensor/
 
 # Production Go line count: non-test .go files outside _perfbench/ and any
 # testdata/ directory (lint fixtures). Track it when a change claims to

@@ -456,13 +456,12 @@ func (r *RMSSD) UpdateVector(at sim.Time, table int, row int64, v tensor.Vector)
 	ps := int64(r.dev.PageSize())
 	lpn := addr / ps
 	col := int(addr % ps)
-	page, readDone := r.dev.ReadPage(at, lpn)
-	buf := append([]byte(nil), page...)
+	buf, readDone := r.dev.ReadPage(at, lpn)
 	for i, x := range v {
 		binary.LittleEndian.PutUint32(buf[col+4*i:], math.Float32bits(x))
 	}
 	done := r.dev.WritePage(readDone, lpn, buf)
-	// A cached copy would now serve stale (and aliased-to-dead-page) bytes.
+	// A cached copy would now serve stale bytes.
 	r.lookup.Invalidate(table, row)
 	return done, nil
 }

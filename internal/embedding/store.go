@@ -32,7 +32,8 @@ type Store struct {
 	files []*hostio.File
 	vpp   int64 // vectors per page
 	// ranges maps device byte ranges to (table, first file byte) for the
-	// filler, sorted by Addr.
+	// filler, sorted by Addr. A table's extents that continue each other in
+	// both device address and file offset share one range.
 	ranges []addrRange
 }
 
@@ -61,6 +62,12 @@ func NewStore(m *model.Model, fs *hostio.FS) (*Store, error) {
 		}
 		s.files = append(s.files, f)
 		for _, e := range f.Extents() {
+			if n := len(s.ranges); n > 0 {
+				if last := &s.ranges[n-1]; last.Table == t && last.Addr+last.Len == e.Addr && last.FileOff+last.Len == e.FileOff {
+					last.Len += e.Len
+					continue
+				}
+			}
 			s.ranges = append(s.ranges, addrRange{Addr: e.Addr, Len: e.Len, Table: t, FileOff: e.FileOff})
 		}
 	}
@@ -106,20 +113,22 @@ func (s *Store) VectorAddr(table int, row int64) int64 {
 	return s.files[table].AddrOf(s.VectorFileOffset(row))
 }
 
-// locate finds the table range containing a device byte address.
-func (s *Store) locate(addr int64) (addrRange, bool) {
+// locate returns the index of the first range that ends after addr, and
+// whether that range contains addr. Without containment addr lies in a gap
+// that ends at that range's start (or, at index len(ranges), never).
+func (s *Store) locate(addr int64) (int, bool) {
 	i := sort.Search(len(s.ranges), func(i int) bool {
 		return s.ranges[i].Addr+s.ranges[i].Len > addr
 	})
-	if i == len(s.ranges) || addr < s.ranges[i].Addr {
-		return addrRange{}, false
-	}
-	return s.ranges[i], true
+	return i, i < len(s.ranges) && addr >= s.ranges[i].Addr
 }
 
 // installFiller wires the deterministic vector generator into the device's
 // sparse page store. It translates a physical page index back to a logical
-// device address, locates the owning table, and synthesises the bytes.
+// device address, locates the owning table, and synthesises the bytes one
+// run at a time: a vector (or the part of one the buffer covers), or a
+// stretch of zeroes reaching to the end of the page's slots, the page, or
+// the gap between tables.
 func (s *Store) installFiller() {
 	arr := s.dev.Array()
 	geo := arr.Geometry()
@@ -131,36 +140,36 @@ func (s *Store) installFiller() {
 		start := lpn*ps + int64(col)
 		for filled := 0; filled < len(buf); {
 			addr := start + int64(filled)
-			r, ok := s.locate(addr)
+			rest := int64(len(buf) - filled)
+			i, ok := s.locate(addr)
 			if !ok {
-				// Outside any table: zero fill to the next byte.
-				buf[filled] = 0
-				filled++
+				// Outside any table: zeroes up to the next table.
+				n := rest
+				if i < len(s.ranges) {
+					n = min(n, s.ranges[i].Addr-addr)
+				}
+				clear(buf[filled : filled+int(n)])
+				filled += int(n)
 				continue
 			}
+			r := &s.ranges[i]
 			fileOff := r.FileOff + (addr - r.Addr)
 			pageOff := fileOff % ps
 			slot := pageOff / evSize
-			if slot >= s.vpp {
-				// Page-tail padding after the last full slot.
-				buf[filled] = 0
-				filled++
+			row := (fileOff/ps)*s.vpp + slot
+			n := min(rest, r.Addr+r.Len-addr)
+			if slot >= s.vpp || row >= s.m.Cfg.RowsPerTable {
+				// Page-tail padding after the last full slot, or slots
+				// past the table's last row: zeroes to the page end.
+				n = min(n, ps-pageOff)
+				clear(buf[filled : filled+int(n)])
+				filled += int(n)
 				continue
 			}
-			row := (fileOff/ps)*s.vpp + slot
-			within := int(pageOff % evSize)
-			n := int(evSize) - within
-			if n > len(buf)-filled {
-				n = len(buf) - filled
-			}
-			if row >= s.m.Cfg.RowsPerTable {
-				for i := 0; i < n; i++ {
-					buf[filled+i] = 0
-				}
-			} else {
-				s.m.EVBytesInto(r.Table, row, within, buf[filled:filled+n])
-			}
-			filled += n
+			within := pageOff % evSize
+			n = min(n, evSize-within)
+			s.m.EVBytesInto(r.Table, row, int(within), buf[filled:filled+int(n)])
+			filled += int(n)
 		}
 	})
 }

@@ -228,3 +228,66 @@ func TestPoolViaDeviceMatchesReference(t *testing.T) {
 		t.Fatal("device-path pooling differs from reference")
 	}
 }
+
+// dirtyPageRead reads the page at addr through a flash lane into a buffer
+// full of 0xff, the way the lookup engine reads into its reused arena, so
+// any byte the filler fails to write shows.
+func dirtyPageRead(t *testing.T, dev *ssd.Device, addr int64) []byte {
+	t.Helper()
+	vr := dev.PrepareVectorRead(0, addr, dev.PageSize())
+	buf := bytes.Repeat([]byte{0xff}, dev.PageSize())
+	lane := dev.Array().Lane(vr.PPA.Channel)
+	defer lane.Close()
+	if _, err := lane.ReadVector(vr.Start, vr.PPA, vr.Col, buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// With one-page extents every table is dozens of extents long, laid out
+// back to back, so each table must merge into one filler range. The
+// filler's full-page bytes must then equal the materialised image, for a
+// dimension that packs pages exactly and for one that leaves page-tail
+// padding, with a last page only partly filled by rows; the page past the
+// last table reads as zeroes.
+func TestFillerMergedExtentsMatchMaterialized(t *testing.T) {
+	for _, dim := range []int{32, 24} {
+		cfg := smallRMC1()
+		cfg.Tables = 3
+		cfg.EVDim = dim
+		cfg.BottomMLP = []int{64, dim}
+		cfg.RowsPerTable = 1000
+		geo := flash.Geometry{Channels: 4, DiesPerChannel: 4, PlanesPerDie: 2, BlocksPerPlane: 64, PagesPerBlock: 16, PageSize: 4096}
+		fs := hostio.NewFS(ssd.MustNew(geo), 1) // rounded up to one-page extents
+		st, err := NewStore(model.MustBuild(cfg), fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(st.File(0).Extents()); got < 2 {
+			t.Fatalf("dim %d: table 0 has %d extents, want many", dim, got)
+		}
+		if len(st.ranges) != cfg.Tables {
+			t.Fatalf("dim %d: %d filler ranges, want one per table (%d)", dim, len(st.ranges), cfg.Tables)
+		}
+		dev := fs.Device()
+		ps := int64(geo.PageSize)
+		for table := 0; table < cfg.Tables; table++ {
+			f := st.File(table)
+			var synth [][]byte
+			for off := int64(0); off < f.Size(); off += ps {
+				synth = append(synth, dirtyPageRead(t, dev, f.AddrOf(off)))
+			}
+			st.MaterializeTable(table)
+			for i, off := 0, int64(0); off < f.Size(); i, off = i+1, off+ps {
+				if !bytes.Equal(synth[i], dev.PeekRange(f.AddrOf(off), int(ps))) {
+					t.Fatalf("dim %d table %d page %d: filler bytes differ from the materialised image", dim, table, i)
+				}
+			}
+		}
+		last := st.File(cfg.Tables - 1)
+		past := dirtyPageRead(t, dev, last.AddrOf(last.Size()-ps)+ps)
+		if !bytes.Equal(past, make([]byte, ps)) {
+			t.Fatalf("dim %d: page past the last table is not zero", dim)
+		}
+	}
+}

@@ -155,6 +155,7 @@ type LookupEngine struct {
 	lanes  []*flash.Lane
 	owners map[evcache.Key]int32
 	zeroEV []byte
+	arena  []byte // value reads' bytes, one EV-sized piece per slot
 }
 
 // NewLookupEngine wires the engine to a store's device.

@@ -51,8 +51,9 @@ import (
 //   - EV cache: vectors resident in the controller's DRAM are served in
 //     params.EVCacheHitCycles (~8 cycles for a 128 B vector, vs C_EV ≈ 2838)
 //     over the cache's FCFS DRAM port; misses read flash and fill the
-//     cache. The cached bytes alias the immutable flash page buffers, so a
-//     hit returns exactly the bytes a flash read would.
+//     cache. A read that fills an entry gets its own buffer, which the
+//     entry keeps, so a hit returns exactly the bytes a flash read would.
+//     Every other value read lands in the engine's reused per-batch arena.
 //   - Dedup: within one pooled batch, repeated (table,row) references merge
 //     with the first occurrence's read. Each duplicate still contributes its
 //     own term to the pooled sum (SparseLengthsSum semantics: a row listed
@@ -133,7 +134,7 @@ func (e *LookupEngine) PoolBatchTiming(at sim.Time, sparses [][][]int64) (sim.Ti
 	if err != nil {
 		return maxIssue, err
 	}
-	e.readLanes(slots, e.cache != nil)
+	e.readLanes(slots, false)
 	return e.reduce(slots, maxIssue)
 }
 
@@ -260,9 +261,20 @@ func (e *LookupEngine) resetPerCh() [][]int32 {
 }
 
 // readLanes is phase 2: each channel's bucket replays in plan order on that
-// channel's lane. fetch asks for the vector bytes; without it only timing
-// and traffic are simulated.
-func (e *LookupEngine) readLanes(slots []lkSlot, fetch bool) {
+// channel's lane. values asks for every read's bytes; without it only reads
+// that fill a cache entry fetch theirs, and the rest simulate timing and
+// traffic alone.
+func (e *LookupEngine) readLanes(slots []lkSlot, values bool) {
+	if values {
+		// One EV-sized piece per slot, so concurrent lanes write disjoint
+		// bytes and a batch's value reads allocate nothing once the arena
+		// has grown to the batch size.
+		need := len(slots) * e.st.Model().Cfg.EVSize()
+		if cap(e.arena) < need {
+			e.arena = make([]byte, need)
+		}
+		e.arena = e.arena[:need]
+	}
 	if len(e.lanes) != len(e.perCh) {
 		e.lanes = make([]*flash.Lane, len(e.perCh))
 	}
@@ -276,7 +288,7 @@ func (e *LookupEngine) readLanes(slots []lkSlot, fetch bool) {
 	workers := min(e.Parallel(), len(e.lanes))
 	if workers == 1 {
 		for ch := range e.lanes {
-			e.readLane(ch, slots, fetch)
+			e.readLane(ch, slots, values)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -285,7 +297,7 @@ func (e *LookupEngine) readLanes(slots []lkSlot, fetch bool) {
 			go func(w int) {
 				defer wg.Done()
 				for ch := w; ch < len(e.lanes); ch += workers {
-					e.readLane(ch, slots, fetch)
+					e.readLane(ch, slots, values)
 				}
 			}(w)
 		}
@@ -297,15 +309,23 @@ func (e *LookupEngine) readLanes(slots []lkSlot, fetch bool) {
 }
 
 // readLane replays channel ch's reads on its lane, writing only their slots.
-func (e *LookupEngine) readLane(ch int, slots []lkSlot, fetch bool) {
+func (e *LookupEngine) readLane(ch int, slots []lkSlot, values bool) {
 	lane := e.lanes[ch]
 	for _, i := range e.perCh[ch] {
 		s := &slots[i]
-		if fetch {
-			s.data, s.ready, s.err = lane.ReadVector(s.vr.Start, s.vr.PPA, s.vr.Col, s.vr.Size)
-		} else {
-			s.ready, s.err = lane.ReadVectorTiming(s.vr.Start, s.vr.PPA, s.vr.Col, s.vr.Size)
+		size := s.vr.Size
+		switch {
+		case s.fill != nil:
+			// The cache keeps a reference to these bytes, so they get
+			// their own buffer rather than a piece of the reused arena.
+			s.data = make([]byte, size)
+		case values:
+			s.data = e.arena[int(i)*size : int(i+1)*size : int(i+1)*size]
+		default:
+			s.ready, s.err = lane.ReadVectorTiming(s.vr.Start, s.vr.PPA, s.vr.Col, size)
+			continue
 		}
+		s.ready, s.err = lane.ReadVector(s.vr.Start, s.vr.PPA, s.vr.Col, s.data)
 	}
 }
 

@@ -47,10 +47,10 @@ type Stats struct {
 	Evictions int64
 }
 
-// Entry is one cached vector. The data slice aliases the flash page store's
-// immutable page buffers (pages are never mutated in place; rewrites allocate
-// fresh buffers), so holding it costs no copy and stays valid across updates
-// to the underlying row — the cache is invalidated explicitly on update.
+// Entry is one cached vector. Fill hands over a buffer the caller never
+// reuses (the lookup engine reads each filling vector into a buffer of its
+// own), so holding it costs no copy and stays valid across updates to the
+// underlying row — the cache is invalidated explicitly on update.
 type Entry struct {
 	key    Key
 	data   []byte

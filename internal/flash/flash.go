@@ -238,8 +238,8 @@ func (a *Array) checkPPA(p PPA) {
 }
 
 // ReadPage performs a whole-page read: die busy for Tflush, then the channel
-// bus transfers the full page. It returns the page contents and the
-// completion time.
+// bus transfers the full page. It returns a copy of the page contents and
+// the completion time.
 func (a *Array) ReadPage(at sim.Time, p PPA) ([]byte, sim.Time) {
 	a.checkPPA(p)
 	die := a.dies[p.Channel].Get(p.Die)
@@ -281,7 +281,7 @@ func (a *Array) ReadVector(at sim.Time, p PPA, col, size int) ([]byte, sim.Time,
 	trans := params.Duration(params.VectorTransferCycles(size))
 	_, done := a.buses[p.Channel].Acquire(flushDone, trans)
 	a.stats.BytesTransferred += int64(size)
-	return a.store.ReadRange(a.geo.FlatIndex(p), col, size), done, nil
+	return a.readRange(p, col, size), done, nil
 }
 
 // ReadPageTiming models a whole-page read without materialising the page
@@ -355,8 +355,8 @@ func (a *Array) WritePage(at sim.Time, p PPA, data []byte) sim.Time {
 	return done
 }
 
-// PeekPage returns page contents without modelling any time. Used by tests
-// and by functional-only paths.
+// PeekPage returns a copy of the page contents without modelling any
+// time. Used by tests and by functional-only paths.
 func (a *Array) PeekPage(p PPA) []byte {
 	a.checkPPA(p)
 	return a.store.Read(a.geo.FlatIndex(p))
@@ -369,7 +369,14 @@ func (a *Array) PeekRange(p PPA, col, size int) []byte {
 	if col < 0 || size <= 0 || col+size > a.geo.PageSize {
 		panic(fmt.Sprintf("flash: peek range [%d,%d) outside page of size %d", col, col+size, a.geo.PageSize))
 	}
-	return a.store.ReadRange(a.geo.FlatIndex(p), col, size)
+	return a.readRange(p, col, size)
+}
+
+// readRange returns a fresh copy of size bytes of page p starting at col.
+func (a *Array) readRange(p PPA, col, size int) []byte {
+	buf := make([]byte, size)
+	a.store.ReadRange(a.geo.FlatIndex(p), col, buf)
+	return buf
 }
 
 // BusUtilization returns per-channel bus utilization over the horizon.

@@ -422,8 +422,8 @@ func TestLaneReopen(t *testing.T) {
 		if _, err := fresh.ReadVectorTiming(at, p, 0, evSize); err != nil {
 			t.Fatal(err)
 		}
-		_, da, errA := reused.ReadVector(at, p, evSize, evSize)
-		_, db, errB := fresh.ReadVector(at, p, evSize, evSize)
+		da, errA := reused.ReadVector(at, p, evSize, make([]byte, evSize))
+		db, errB := fresh.ReadVector(at, p, evSize, make([]byte, evSize))
 		if errA != nil || errB != nil {
 			t.Fatal(errA, errB)
 		}

@@ -79,15 +79,17 @@ func (l *Lane) checkPPA(p PPA) {
 	}
 }
 
-// ReadVector is Array.ReadVector on this lane: die flush, then size bytes
-// over the channel bus. Stats accumulate lane-locally. On an uncorrectable
-// read the returned slice is nil and the error wraps ErrUncorrectable.
-func (l *Lane) ReadVector(at sim.Time, p PPA, col, size int) ([]byte, sim.Time, error) {
-	done, err := l.ReadVectorTiming(at, p, col, size)
+// ReadVector is Array.ReadVector on this lane, reading into the caller's
+// buffer: die flush, then len(buf) bytes from col over the channel bus.
+// Stats accumulate lane-locally. On an uncorrectable read buf's contents
+// are unspecified and the error wraps ErrUncorrectable.
+func (l *Lane) ReadVector(at sim.Time, p PPA, col int, buf []byte) (sim.Time, error) {
+	done, err := l.ReadVectorTiming(at, p, col, len(buf))
 	if err != nil {
-		return nil, done, err
+		return done, err
 	}
-	return l.a.store.ReadRange(l.a.geo.FlatIndex(p), col, size), done, nil
+	l.a.store.ReadRange(l.a.geo.FlatIndex(p), col, buf)
+	return done, nil
 }
 
 // ReadVectorTiming is ReadVector without materialising data. Fault draws

@@ -9,9 +9,10 @@ package flash
 // the pages actually touched ever exist in memory.
 //
 // The filler receives the page index, the starting byte offset within the
-// page, and the destination buffer; it must fill exactly len(buf) bytes.
-// Range-based filling lets vector-grained reads synthesise 128-256 bytes
-// instead of a whole 4 KiB page.
+// page, and the destination buffer; it must write every one of the
+// len(buf) bytes, because buf is usually a reused buffer that still holds
+// an earlier read's bytes. Range-based filling lets vector-grained reads
+// synthesise 128-256 bytes instead of a whole 4 KiB page.
 type Filler func(pageIndex uint64, col int, buf []byte)
 
 // PageStore is a sparse page-indexed byte store.
@@ -30,23 +31,28 @@ func NewPageStore(pageSize int) *PageStore {
 // unwritten pages read as zeroes.
 func (s *PageStore) SetFiller(f Filler) { s.filler = f }
 
-// ReadRange returns n bytes of the page starting at byte offset col,
-// synthesising them through the filler if the page was never written. The
-// returned slice aliases the store's buffer for written pages; callers must
-// not mutate it.
-func (s *PageStore) ReadRange(idx uint64, col, n int) []byte {
-	if p, ok := s.pages[idx]; ok {
-		return p[col : col+n]
-	}
-	buf := make([]byte, n)
-	if s.filler != nil {
+// ReadRange fills buf with the len(buf) bytes of the page starting at byte
+// offset col: a copy of the written page, the filler's synthesised bytes
+// for a page never written, or zeroes without a filler. buf belongs to the
+// caller, who may reuse it for the next read, so a vector read allocates
+// nothing here.
+func (s *PageStore) ReadRange(idx uint64, col int, buf []byte) {
+	switch p, ok := s.pages[idx]; {
+	case ok:
+		copy(buf, p[col:])
+	case s.filler != nil:
 		s.filler(idx, col, buf)
+	default:
+		clear(buf)
 	}
-	return buf
 }
 
-// Read returns the full contents of the page.
-func (s *PageStore) Read(idx uint64) []byte { return s.ReadRange(idx, 0, s.pageSize) }
+// Read returns a copy of the full contents of the page.
+func (s *PageStore) Read(idx uint64) []byte {
+	buf := make([]byte, s.pageSize)
+	s.ReadRange(idx, 0, buf)
+	return buf
+}
 
 // Write stores data as the page contents, padding with zeroes to the page
 // size. Written pages shadow the filler.

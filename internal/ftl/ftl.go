@@ -138,13 +138,15 @@ func (b *PathBuffer) Push(k RequestKind) {
 }
 
 // Pop removes and returns the oldest in-flight request's kind. It reports
-// false when the buffer is empty.
+// false when the buffer is empty. The rest shift down in place, so the
+// backing array is kept: the device pushes and pops in pairs (depth at most
+// one), and re-slicing past the head would make every few pushes allocate.
 func (b *PathBuffer) Pop() (RequestKind, bool) {
 	if len(b.fifo) == 0 {
 		return 0, false
 	}
 	k := b.fifo[0]
-	b.fifo = b.fifo[1:]
+	b.fifo = b.fifo[:copy(b.fifo, b.fifo[1:])]
 	return k, true
 }
 

@@ -142,6 +142,20 @@ func TestPathBufferFIFO(t *testing.T) {
 	}
 }
 
+// The device pushes and pops in pairs for every request; once the buffer
+// has grown, that must not allocate.
+func TestPathBufferPairsDoNotAllocate(t *testing.T) {
+	var b PathBuffer
+	b.Push(EVRead)
+	b.Pop()
+	if allocs := testing.AllocsPerRun(100, func() {
+		b.Push(EVRead)
+		b.Pop()
+	}); allocs != 0 {
+		t.Fatalf("Push+Pop: %.1f allocs, want 0", allocs)
+	}
+}
+
 func TestMuxRoundRobin(t *testing.T) {
 	var m Mux
 	// Both waiting: strict alternation.

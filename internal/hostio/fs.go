@@ -159,7 +159,7 @@ func (f *File) WriteAt(data []byte, off int64) {
 		if col == 0 && n == int(ps) {
 			f.fs.dev.WritePageUntimed(lpn, data[:n])
 		} else {
-			page := append([]byte(nil), f.fs.dev.PeekPage(lpn)...)
+			page := f.fs.dev.PeekPage(lpn)
 			copy(page[col:], data[:n])
 			f.fs.dev.WritePageUntimed(lpn, page)
 		}

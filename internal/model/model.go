@@ -379,21 +379,20 @@ func MustBuild(cfg Config) *Model {
 	return m
 }
 
-// EmbeddingValue returns element e of the embedding vector at (table, row).
-// The row passes through the config's RowBase/RowStride remap, so a member
-// device of a partitioned array generates the same bytes for its local row
-// that the logical model generates for the global row it hosts.
-func (m *Model) EmbeddingValue(table int, row int64, e int) float32 {
-	return tensor.HashFloat(m.Cfg.Seed^0xe3b, uint64(table), uint64(m.Cfg.GlobalRow(row)), uint64(e))
+// evPrefix folds the keys every element of the embedding vector at
+// (table, row) shares, so each element costs one hash round: element e is
+// tensor.HashFloat(Seed^0xe3b, table, GlobalRow(row), e), computed as
+// tensor.HashFloatFrom(evPrefix(table, row), e). The row passes through the
+// config's RowBase/RowStride remap, so a member device of a partitioned
+// array generates the same bytes for its local row that the logical model
+// generates for the global row it hosts.
+func (m *Model) evPrefix(table int, row int64) uint64 {
+	return tensor.HashPrefix(m.Cfg.Seed^0xe3b, uint64(table), uint64(m.Cfg.GlobalRow(row)))
 }
 
 // EmbeddingVector materialises the embedding vector at (table, row).
 func (m *Model) EmbeddingVector(table int, row int64) tensor.Vector {
-	v := make(tensor.Vector, m.Cfg.EVDim)
-	for e := range v {
-		v[e] = m.EmbeddingValue(table, row, e)
-	}
-	return v
+	return DecodeEV(m.EVBytes(table, row))
 }
 
 // EVBytes encodes the embedding vector at (table, row) exactly as stored on
@@ -407,9 +406,10 @@ func (m *Model) EVBytes(table int, row int64) []byte {
 // EVBytesInto fills buf with the on-SSD byte encoding of the vector at
 // (table, row) starting from byte offset `from` within the vector.
 func (m *Model) EVBytesInto(table int, row int64, from int, buf []byte) {
+	h := m.evPrefix(table, row)
 	for i := 0; i < len(buf); i += 4 {
 		e := (from + i) / 4
-		binary.LittleEndian.PutUint32(buf[i:], math.Float32bits(m.EmbeddingValue(table, row, e)))
+		binary.LittleEndian.PutUint32(buf[i:], math.Float32bits(tensor.HashFloatFrom(h, uint64(e))))
 	}
 }
 
@@ -441,8 +441,9 @@ func AccumulateEV(dst tensor.Vector, buf []byte) {
 func (m *Model) PoolReference(table int, rows []int64) tensor.Vector {
 	sum := make(tensor.Vector, m.Cfg.EVDim)
 	for _, r := range rows {
-		for e := 0; e < m.Cfg.EVDim; e++ {
-			sum[e] += m.EmbeddingValue(table, r, e)
+		h := m.evPrefix(table, r)
+		for e := range sum {
+			sum[e] += tensor.HashFloatFrom(h, uint64(e))
 		}
 	}
 	return sum

@@ -185,6 +185,51 @@ func TestEVBytesIntoPartial(t *testing.T) {
 	}
 }
 
+// EVBytesInto from every 4-byte offset must equal the matching slice of
+// EVBytes, and every element must be the generator's HashFloat over (seed,
+// table, global row, element): the definition the hoisted hash prefix keeps.
+func TestEVBytesIntoEveryOffset(t *testing.T) {
+	cfg := smallConfig()
+	cfg.RowBase, cfg.RowStride = 3, 5
+	m := MustBuild(cfg)
+	for _, tr := range []struct {
+		table int
+		row   int64
+	}{{0, 0}, {1, 5}, {7, 4095}} {
+		full := m.EVBytes(tr.table, tr.row)
+		for from := 0; from < len(full); from += 4 {
+			for end := from + 4; end <= len(full); end += 4 {
+				part := make([]byte, end-from)
+				m.EVBytesInto(tr.table, tr.row, from, part)
+				if string(part) != string(full[from:end]) {
+					t.Fatalf("table %d row %d: EVBytesInto [%d,%d) differs from EVBytes", tr.table, tr.row, from, end)
+				}
+			}
+		}
+		global := uint64(cfg.RowBase + tr.row*cfg.RowStride)
+		vec := m.EmbeddingVector(tr.table, tr.row)
+		for e, x := range DecodeEV(full) {
+			want := tensor.HashFloat(cfg.Seed^0xe3b, uint64(tr.table), global, uint64(e))
+			if math.Float32bits(x) != math.Float32bits(want) || math.Float32bits(vec[e]) != math.Float32bits(want) {
+				t.Fatalf("table %d row %d element %d: EVBytes %v, EmbeddingVector %v, want %v", tr.table, tr.row, e, x, vec[e], want)
+			}
+		}
+	}
+}
+
+// BenchmarkEVBytesInto times synthesising one RMC1 vector (32 floats), the
+// per-read cost of every flash vector read served by the embedding filler.
+func BenchmarkEVBytesInto(b *testing.B) {
+	m := MustBuild(smallConfig())
+	buf := make([]byte, m.Cfg.EVSize())
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.EVBytesInto(i%m.Cfg.Tables, int64(i)%m.Cfg.RowsPerTable, 0, buf)
+	}
+}
+
 func TestPoolReferenceMatchesManualSum(t *testing.T) {
 	m := MustBuild(smallConfig())
 	rows := []int64{1, 5, 9}

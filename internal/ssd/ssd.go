@@ -183,7 +183,7 @@ func (d *Device) ReadPageInternalTiming(at sim.Time, lpn int64) sim.Time {
 	return done
 }
 
-// PeekPage returns page contents with no timing side effects.
+// PeekPage returns a copy of the page contents with no timing side effects.
 func (d *Device) PeekPage(lpn int64) []byte {
 	ppa, mapped := d.translateRead(lpn)
 	if !mapped {

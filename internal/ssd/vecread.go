@@ -22,11 +22,11 @@ type VectorRead struct {
 }
 
 // PrepareVectorRead translates one in-storage vector read without scheduling
-// its flash time. Calling flash.Lane.ReadVector(r.Start, r.PPA, r.Col,
-// r.Size) afterwards — in the same per-channel order the device would have
-// seen — reproduces ReadVectorAt's timing exactly; unmapped reads complete
-// at r.Start with zero data and never touch flash, also exactly as
-// ReadVectorAt. Counters (EVReads, path-buffer pushes) are updated here so
+// its flash time. Calling flash.Lane.ReadVector(r.Start, r.PPA, r.Col, buf)
+// with an r.Size-byte buf afterwards — in the same per-channel order the
+// device would have seen — reproduces ReadVectorAt's timing exactly;
+// unmapped reads complete at r.Start with zero data and never touch flash,
+// also exactly as ReadVectorAt. Counters (EVReads, path-buffer pushes) are updated here so
 // their totals match the sequential path.
 func (d *Device) PrepareVectorRead(at sim.Time, byteAddr int64, size int) VectorRead {
 	lpn := byteAddr / int64(d.PageSize())

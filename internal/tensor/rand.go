@@ -15,14 +15,31 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// hashSeed is the state every key chain starts from.
+const hashSeed uint64 = 0x243f6a8885a308d3
+
 // HashFloat returns a deterministic float32 in [-1, 1) derived from the
 // given keys.
-func HashFloat(keys ...uint64) float32 {
-	h := uint64(0x243f6a8885a308d3)
+func HashFloat(keys ...uint64) float32 { return hashToFloat(HashPrefix(keys...)) }
+
+// HashPrefix folds keys into the hash state HashFloat would reach after
+// them, so a caller drawing many values that share leading keys pays for
+// those keys once: HashFloatFrom(HashPrefix(a, b), c) == HashFloat(a, b, c)
+// bit for bit.
+func HashPrefix(keys ...uint64) uint64 {
+	h := hashSeed
 	for _, k := range keys {
 		h = Mix64(h ^ k)
 	}
-	// 24 mantissa bits -> uniform in [0,1), then shift to [-1,1).
+	return h
+}
+
+// HashFloatFrom returns HashFloat of the prefix's keys followed by k.
+func HashFloatFrom(prefix, k uint64) float32 { return hashToFloat(Mix64(prefix ^ k)) }
+
+// hashToFloat maps a hash state to [-1, 1): 24 mantissa bits give a uniform
+// value in [0, 1), shifted to [-1, 1).
+func hashToFloat(h uint64) float32 {
 	u := float64(h>>40) / float64(1<<24)
 	return float32(2*u - 1)
 }
@@ -61,19 +78,22 @@ func (r *RNG) Intn(n int) int {
 }
 
 // FillMatrix initialises m with small deterministic weights derived from
-// seed, in [-scale, scale).
+// seed, in [-scale, scale). Element (r, c) is scale*HashFloat(seed, r, c).
 func FillMatrix(m *Matrix, seed uint64, scale float32) {
 	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			m.Set(r, c, scale*HashFloat(seed, uint64(r), uint64(c)))
+		h := HashPrefix(seed, uint64(r))
+		row := m.Row(r)
+		for c := range row {
+			row[c] = scale * HashFloatFrom(h, uint64(c))
 		}
 	}
 }
 
 // FillVector initialises v with deterministic values derived from seed, in
-// [-scale, scale).
+// [-scale, scale). Element i is scale*HashFloat(seed, i).
 func FillVector(v Vector, seed uint64, scale float32) {
+	h := HashPrefix(seed)
 	for i := range v {
-		v[i] = scale * HashFloat(seed, uint64(i))
+		v[i] = scale * HashFloatFrom(h, uint64(i))
 	}
 }

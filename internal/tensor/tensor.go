@@ -54,15 +54,40 @@ func (m *Matrix) Clone() *Matrix {
 
 // MatVec computes y = m * x where x has length m.Cols. The result has
 // length m.Rows.
+//
+// Rows are computed four per pass over x, one accumulator each, and the
+// remaining rows one at a time. Every row still sums its columns in order
+// 0..Cols-1 into a float32 accumulator, so y is bit-identical to a one-row
+// loop wherever the compiler does not fuse multiply-adds (amd64 at the
+// default GOAMD64=v1). Four independent add chains also keep the kernel's
+// speed from hinging on where the linker happens to place its loop.
 func (m *Matrix) MatVec(x Vector) Vector {
 	if len(x) != m.Cols {
 		panic(fmt.Sprintf("tensor: MatVec shape mismatch: %dx%d by %d", m.Rows, m.Cols, len(x)))
 	}
 	y := make(Vector, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
+	n := m.Cols
+	r := 0
+	for ; r+4 <= m.Rows; r += 4 {
+		w0 := m.Data[r*n : (r+1)*n]
+		w1 := m.Data[(r+1)*n : (r+2)*n]
+		w2 := m.Data[(r+2)*n : (r+3)*n]
+		w3 := m.Data[(r+3)*n : (r+4)*n]
+		w1, w2, w3 = w1[:len(w0)], w2[:len(w0)], w3[:len(w0)]
+		x := x[:len(w0)]
+		var a0, a1, a2, a3 float32
+		for c, w := range w0 {
+			xc := x[c]
+			a0 += w * xc
+			a1 += w1[c] * xc
+			a2 += w2[c] * xc
+			a3 += w3[c] * xc
+		}
+		y[r], y[r+1], y[r+2], y[r+3] = a0, a1, a2, a3
+	}
+	for ; r < m.Rows; r++ {
 		var acc float32
-		for c, w := range row {
+		for c, w := range m.Data[r*n : (r+1)*n] {
 			acc += w * x[c]
 		}
 		y[r] = acc

@@ -306,3 +306,90 @@ func TestMix64Bijective(t *testing.T) {
 		seen[h] = i
 	}
 }
+
+// HashFloatFrom over a HashPrefix of the leading keys must reproduce
+// HashFloat over all of them bit for bit, for every key count the
+// generators use.
+func TestHashFloatFromPrefixMatchesHashFloat(t *testing.T) {
+	rng := NewRNG(0x5eed)
+	for n := 1; n <= 4; n++ {
+		for trial := 0; trial < 1000; trial++ {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = rng.Uint64()
+			}
+			got := HashFloatFrom(HashPrefix(keys[:n-1]...), keys[n-1])
+			if want := HashFloat(keys...); math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("keys %v: HashFloatFrom(HashPrefix) = %v, HashFloat = %v", keys, got, want)
+			}
+		}
+	}
+}
+
+// The weight fills are defined element by element through HashFloat.
+func TestFillMatchesHashFloat(t *testing.T) {
+	m := NewMatrix(5, 7)
+	FillMatrix(m, 11, 0.5)
+	for r := 0; r < m.Rows; r++ {
+		for c := 0; c < m.Cols; c++ {
+			if want := 0.5 * HashFloat(11, uint64(r), uint64(c)); math.Float32bits(m.At(r, c)) != math.Float32bits(want) {
+				t.Fatalf("FillMatrix (%d,%d) = %v, want %v", r, c, m.At(r, c), want)
+			}
+		}
+	}
+	v := make(Vector, 9)
+	FillVector(v, 12, 0.25)
+	for i, x := range v {
+		if want := 0.25 * HashFloat(12, uint64(i)); math.Float32bits(x) != math.Float32bits(want) {
+			t.Fatalf("FillVector [%d] = %v, want %v", i, x, want)
+		}
+	}
+}
+
+// matVecRef is the one-row-at-a-time kernel MatVec must match bit for bit:
+// each row sums w*x over columns in order into one float32 accumulator.
+func matVecRef(m *Matrix, x Vector) Vector {
+	y := make(Vector, m.Rows)
+	for r := range y {
+		var acc float32
+		for c := 0; c < m.Cols; c++ {
+			acc += m.At(r, c) * x[c]
+		}
+		y[r] = acc
+	}
+	return y
+}
+
+// Every row count from 1 to 9 runs the four-row passes and each remainder
+// length; column counts include 1.
+func TestMatVecMatchesScalarRows(t *testing.T) {
+	for rows := 1; rows <= 9; rows++ {
+		for _, cols := range []int{1, 2, 3, 5, 8, 33} {
+			m := NewMatrix(rows, cols)
+			FillMatrix(m, uint64(rows*100+cols), 1)
+			x := make(Vector, cols)
+			FillVector(x, uint64(rows*100+cols+1), 1)
+			got, want := m.MatVec(x), matVecRef(m, x)
+			for r := range want {
+				if math.Float32bits(got[r]) != math.Float32bits(want[r]) {
+					t.Fatalf("%dx%d row %d: MatVec %v, scalar reference %v", rows, cols, r, got[r], want[r])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkMatVec times RMC3's widest layer: the first bottom-MLP layer,
+// 2560 dense inputs into 1024 outputs.
+func BenchmarkMatVec(b *testing.B) {
+	m := NewMatrix(1024, 2560)
+	FillMatrix(m, 1, 0.02)
+	x := make(Vector, 2560)
+	FillVector(x, 2, 1)
+	b.SetBytes(int64(m.SizeBytes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.MatVec(x)
+	}
+}
